@@ -678,8 +678,8 @@ let copy_microbench shape =
   in
   (volume, Spmd.Copy_plan.nruns plan, scalar_s, plan_s, scalar_red_s, plan_red_s)
 
-(* Per-element [Accessor.get]/[set] vs the hoisted bulk closures over the
-   same full-view instance — the saxpy-shaped loop every app kernel runs. *)
+(* Per-element [Accessor.get]/[set] vs run windows over the same
+   full-view instance — the saxpy-shaped loop every app kernel runs. *)
 let kernel_microbench () =
   let open Geometry in
   let open Regions in
@@ -700,10 +700,12 @@ let kernel_microbench () =
   in
   let bulk_s =
     time_per_run ~reps (fun () ->
-        let rx = Accessor.reader acc fx and wy = Accessor.writer acc fy in
+        let x = Accessor.read_column acc fx
+        and y = Accessor.write_column acc fy in
         Accessor.iter_runs acc (fun lo hi ->
-            for id = lo to hi do
-              wy id ((2.5 *. rx id) +. 1.)
+            let b = Accessor.run_base acc lo hi in
+            for i = b to b + hi - lo do
+              y.(i) <- (2.5 *. x.(i)) +. 1.
             done))
   in
   (n, scalar_s, bulk_s)

@@ -181,14 +181,8 @@ let program cfg =
         Partition.block ~name rw ~pieces:g.pieces)
   in
   Program.Builder.space b ~name:"P" g.pieces;
-  (* Endpoint dispatch through whichever node argument covers it: the three
-     per-field closures are hoisted per task execution, so the per-wire
-     work is the O(1) membership probes plus one closure call. *)
-  let covering accs f n =
-    if Accessor.mem accs.(1) n then f.(0) n
-    else if Accessor.mem accs.(2) n then f.(1) n
-    else if Accessor.mem accs.(3) n then f.(2) n
-    else invalid_arg (Printf.sprintf "circuit: node %d not covered" n)
+  let not_covered n =
+    invalid_arg (Printf.sprintf "circuit: node %d not covered" n)
   in
   let calc_new_currents =
     Task.make ~name:"calc_new_currents"
@@ -210,21 +204,32 @@ let program cfg =
         ]
       ~cost:(fun sizes -> float_of_int sizes.(0) *. currents_seconds_per_wire)
       (fun accs _ ->
-        let w = accs.(0) in
-        let rnin = Accessor.reader w fnin
-        and rnout = Accessor.reader w fnout
-        and rres = Accessor.reader w fres
-        and wcur = Accessor.writer w fcur in
-        let volt =
-          Array.map (fun k -> Accessor.reader accs.(k) fvolt) [| 1; 2; 3 |]
+        let w = accs.(0) and pvt = accs.(1) and shr = accs.(2)
+        and ghost = accs.(3) in
+        let cnin = Accessor.read_column w fnin
+        and cnout = Accessor.read_column w fnout
+        and cres = Accessor.read_column w fres
+        and ccur = Accessor.write_column w fcur
+        and vp = Accessor.read_column pvt fvolt
+        and vs = Accessor.read_column shr fvolt
+        and vg = Accessor.read_column ghost fvolt in
+        (* Endpoint dispatch through whichever node argument covers it. *)
+        let[@inline] voltage n =
+          let k = Accessor.index pvt n in
+          if k >= 0 then vp.(k)
+          else
+            let k = Accessor.index shr n in
+            if k >= 0 then vs.(k)
+            else
+              let k = Accessor.index ghost n in
+              if k >= 0 then vg.(k) else not_covered n
         in
         Accessor.iter_runs w (fun lo hi ->
-            for id = lo to hi do
-              let nin = int_of_float (rnin id)
-              and nout = int_of_float (rnout id) in
-              let vin = covering accs volt nin
-              and vout = covering accs volt nout in
-              wcur id ((vin -. vout) /. rres id)
+            let b = Accessor.run_base w lo hi in
+            for i = b to b + hi - lo do
+              let vin = voltage (int_of_float cnin.(i))
+              and vout = voltage (int_of_float cnout.(i)) in
+              ccur.(i) <- (vin -. vout) /. cres.(i)
             done);
         0.)
   in
@@ -243,20 +248,29 @@ let program cfg =
         ]
       ~cost:(fun sizes -> float_of_int sizes.(0) *. charge_seconds_per_wire)
       (fun accs _ ->
-        let w = accs.(0) in
-        let rnin = Accessor.reader w fnin
-        and rnout = Accessor.reader w fnout
-        and rcur = Accessor.reader w fcur in
-        let dep =
-          Array.map (fun k -> Accessor.reducer accs.(k) fcharge) [| 1; 2; 3 |]
+        let w = accs.(0) and pvt = accs.(1) and shr = accs.(2)
+        and ghost = accs.(3) in
+        let cnin = Accessor.read_column w fnin
+        and cnout = Accessor.read_column w fnout
+        and ccur = Accessor.read_column w fcur in
+        let sum a = Accessor.reduce_column a ~op:Privilege.Sum fcharge in
+        let qp = sum pvt and qs = sum shr and qg = sum ghost in
+        let[@inline] deposit n dq =
+          let k = Accessor.index pvt n in
+          if k >= 0 then qp.(k) <- qp.(k) +. dq
+          else
+            let k = Accessor.index shr n in
+            if k >= 0 then qs.(k) <- qs.(k) +. dq
+            else
+              let k = Accessor.index ghost n in
+              if k >= 0 then qg.(k) <- qg.(k) +. dq else not_covered n
         in
         Accessor.iter_runs w (fun lo hi ->
-            for id = lo to hi do
-              let nin = int_of_float (rnin id)
-              and nout = int_of_float (rnout id) in
-              let dq = dt *. rcur id in
-              covering accs dep nin (-.dq);
-              covering accs dep nout dq
+            let b = Accessor.run_base w lo hi in
+            for i = b to b + hi - lo do
+              let dq = dt *. ccur.(i) in
+              deposit (int_of_float cnin.(i)) (-.dq);
+              deposit (int_of_float cnout.(i)) dq
             done);
         0.)
   in
@@ -280,15 +294,14 @@ let program cfg =
       (fun accs _ ->
         Array.iter
           (fun acc ->
-            let rvolt = Accessor.reader acc fvolt
-            and wvolt = Accessor.writer acc fvolt
-            and rq = Accessor.reader acc fcharge
-            and wq = Accessor.writer acc fcharge
-            and rcap = Accessor.reader acc fcap in
+            let volt = Accessor.write_column acc fvolt
+            and q = Accessor.write_column acc fcharge
+            and cap = Accessor.read_column acc fcap in
             Accessor.iter_runs acc (fun lo hi ->
-                for id = lo to hi do
-                  wvolt id (rvolt id +. (rq id /. rcap id));
-                  wq id 0.
+                let b = Accessor.run_base acc lo hi in
+                for i = b to b + hi - lo do
+                  volt.(i) <- volt.(i) +. (q.(i) /. cap.(i));
+                  q.(i) <- 0.
                 done))
           accs;
         0.)
@@ -304,14 +317,17 @@ let program cfg =
           };
         ]
       (fun accs _ ->
-        let wvolt = Accessor.writer accs.(0) fvolt
-        and wq = Accessor.writer accs.(0) fcharge
-        and wcap = Accessor.writer accs.(0) fcap in
-        Accessor.iter_runs accs.(0) (fun lo hi ->
+        let t = accs.(0) in
+        let volt = Accessor.write_column t fvolt
+        and q = Accessor.write_column t fcharge
+        and cap = Accessor.write_column t fcap in
+        Accessor.iter_runs t (fun lo hi ->
+            let b = Accessor.run_base t lo hi in
             for id = lo to hi do
-              wvolt id (float_of_int ((id * 37) mod 101) /. 101.);
-              wq id 0.;
-              wcap id (1. +. (float_of_int (id mod 7) *. 0.1))
+              let i = b + id - lo in
+              volt.(i) <- float_of_int ((id * 37) mod 101) /. 101.;
+              q.(i) <- 0.;
+              cap.(i) <- 1. +. (float_of_int (id mod 7) *. 0.1)
             done);
         0.)
   in
@@ -331,16 +347,19 @@ let program cfg =
           };
         ]
       (fun accs _ ->
-        let wcur = Accessor.writer accs.(0) fcur
-        and wres = Accessor.writer accs.(0) fres
-        and wnin = Accessor.writer accs.(0) fnin
-        and wnout = Accessor.writer accs.(0) fnout in
-        Accessor.iter_runs accs.(0) (fun lo hi ->
+        let t = accs.(0) in
+        let cur = Accessor.write_column t fcur
+        and res = Accessor.write_column t fres
+        and nin = Accessor.write_column t fnin
+        and nout = Accessor.write_column t fnout in
+        Accessor.iter_runs t (fun lo hi ->
+            let b = Accessor.run_base t lo hi in
             for id = lo to hi do
-              wcur id 0.;
-              wres id (1. +. (float_of_int (id mod 13) *. 0.05));
-              wnin id (float_of_int g.win.(id));
-              wnout id (float_of_int g.wout.(id))
+              let i = b + id - lo in
+              cur.(i) <- 0.;
+              res.(i) <- 1. +. (float_of_int (id mod 13) *. 0.05);
+              nin.(i) <- float_of_int g.win.(id);
+              nout.(i) <- float_of_int g.wout.(id)
             done);
         0.)
   in

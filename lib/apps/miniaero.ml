@@ -226,22 +226,35 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(0) *. flux_seconds_per_face)
       (fun accs _ ->
         let fs = accs.(0) and own = accs.(1) and halo = accs.(2) in
-        let rlc = Accessor.reader fs flc
-        and rrc = Accessor.reader fs frc
-        and wfrho = Accessor.writer fs fflux_rho
-        and wfe = Accessor.writer fs fflux_e in
-        let rho_own = Accessor.reader own frho
-        and rho_halo = Accessor.reader halo frho
-        and e_own = Accessor.reader own fe
-        and e_halo = Accessor.reader halo fe in
-        let rho c = if Accessor.mem own c then rho_own c else rho_halo c
-        and energy c = if Accessor.mem own c then e_own c else e_halo c in
+        let lcs = Accessor.read_column fs flc
+        and rcs = Accessor.read_column fs frc
+        and flux_rho = Accessor.write_column fs fflux_rho
+        and flux_e = Accessor.write_column fs fflux_e in
+        let rho_own = Accessor.read_column own frho
+        and rho_halo = Accessor.read_column halo frho
+        and e_own = Accessor.read_column own fe
+        and e_halo = Accessor.read_column halo fe in
+        (* A cell is read from [own] at [k] when [k >= 0], otherwise from
+           [halo] at [h]; the halo lookup raises when the cell is in
+           neither argument. *)
+        let[@inline] halo_index c k =
+          if k >= 0 then -1 else Accessor.run_base halo c c
+        in
+        let[@inline] cell own_col halo_col k h =
+          if k >= 0 then own_col.(k) else halo_col.(h)
+        in
         Accessor.iter_runs fs (fun lo hi ->
-            for f = lo to hi do
-              let lc = int_of_float (rlc f) and rc = int_of_float (rrc f) in
+            let b = Accessor.run_base fs lo hi in
+            for i = b to b + hi - lo do
+              let lc = int_of_float lcs.(i) and rc = int_of_float rcs.(i) in
+              let kl = Accessor.index own lc and kr = Accessor.index own rc in
+              let hl = halo_index lc kl and hr = halo_index rc kr in
               (* Central flux: conservative by construction. *)
-              wfrho f (0.5 *. (rho lc +. rho rc));
-              wfe f (0.5 *. (energy lc +. energy rc))
+              flux_rho.(i) <-
+                0.5
+                *. (cell rho_own rho_halo kl hl +. cell rho_own rho_halo kr hr);
+              flux_e.(i) <-
+                0.5 *. (cell e_own e_halo kl hl +. cell e_own e_halo kr hr)
             done);
         0.)
   in
@@ -270,31 +283,30 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(1) *. residual_seconds_per_face)
       (fun accs _ ->
         let cs = accs.(0) in
-        let rrrho = Accessor.reader cs frrho
-        and rre = Accessor.reader cs fre
-        and wrrho = Accessor.writer cs frrho
-        and wre = Accessor.writer cs fre in
+        let rrho = Accessor.write_column cs frrho
+        and re = Accessor.write_column cs fre in
         Accessor.iter_runs cs (fun lo hi ->
-            for c = lo to hi do
-              wrrho c 0.;
-              wre c 0.
-            done);
+            let b = Accessor.run_base cs lo hi in
+            Array.fill rrho b (hi - lo + 1) 0.;
+            Array.fill re b (hi - lo + 1) 0.);
         let gather fs =
-          let rlc = Accessor.reader fs flc
-          and rrc = Accessor.reader fs frc
-          and rfrho = Accessor.reader fs fflux_rho
-          and rfe = Accessor.reader fs fflux_e in
+          let lcs = Accessor.read_column fs flc
+          and rcs = Accessor.read_column fs frc
+          and flux_rho = Accessor.read_column fs fflux_rho
+          and flux_e = Accessor.read_column fs fflux_e in
           Accessor.iter_runs fs (fun lo hi ->
-              for f = lo to hi do
-                let lc = int_of_float (rlc f) and rc = int_of_float (rrc f) in
-                let fr = rfrho f and fen = rfe f in
-                if Accessor.mem cs lc then begin
-                  wrrho lc (rrrho lc -. fr);
-                  wre lc (rre lc -. fen)
+              let b = Accessor.run_base fs lo hi in
+              for i = b to b + hi - lo do
+                let fr = flux_rho.(i) and fen = flux_e.(i) in
+                let kl = Accessor.index cs (int_of_float lcs.(i)) in
+                if kl >= 0 then begin
+                  rrho.(kl) <- rrho.(kl) -. fr;
+                  re.(kl) <- re.(kl) -. fen
                 end;
-                if Accessor.mem cs rc then begin
-                  wrrho rc (rrrho rc +. fr);
-                  wre rc (rre rc +. fen)
+                let kr = Accessor.index cs (int_of_float rcs.(i)) in
+                if kr >= 0 then begin
+                  rrho.(kr) <- rrho.(kr) +. fr;
+                  re.(kr) <- re.(kr) +. fen
                 end
               done)
         in
@@ -323,16 +335,17 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(0) *. update_seconds_per_cell)
       (fun accs _ ->
         let cs = accs.(0) in
-        let rrho0 = Accessor.reader cs frho0
-        and re0 = Accessor.reader cs fe0
-        and rrrho = Accessor.reader cs frrho
-        and rre = Accessor.reader cs fre
-        and wrho = Accessor.writer cs frho
-        and we = Accessor.writer cs fe in
+        let rho0 = Accessor.read_column cs frho0
+        and e0 = Accessor.read_column cs fe0
+        and rrho = Accessor.read_column cs frrho
+        and re = Accessor.read_column cs fre
+        and rho = Accessor.write_column cs frho
+        and e = Accessor.write_column cs fe in
         Accessor.iter_runs cs (fun lo hi ->
-            for c = lo to hi do
-              wrho c (rrho0 c +. (alpha *. dt *. rrrho c));
-              we c (re0 c +. (alpha *. dt *. rre c))
+            let b = Accessor.run_base cs lo hi in
+            for i = b to b + hi - lo do
+              rho.(i) <- rho0.(i) +. (alpha *. dt *. rrho.(i));
+              e.(i) <- e0.(i) +. (alpha *. dt *. re.(i))
             done);
         0.)
   in
@@ -354,15 +367,14 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(0) *. save_seconds_per_cell)
       (fun accs _ ->
         let cs = accs.(0) in
-        let rrho = Accessor.reader cs frho
-        and re = Accessor.reader cs fe
-        and wrho0 = Accessor.writer cs frho0
-        and we0 = Accessor.writer cs fe0 in
+        let rho = Accessor.read_column cs frho
+        and e = Accessor.read_column cs fe
+        and rho0 = Accessor.write_column cs frho0
+        and e0 = Accessor.write_column cs fe0 in
         Accessor.iter_runs cs (fun lo hi ->
-            for c = lo to hi do
-              wrho0 c (rrho c);
-              we0 c (re c)
-            done);
+            let b = Accessor.run_base cs lo hi and n = hi - lo + 1 in
+            Array.blit rho b rho0 b n;
+            Array.blit e b e0 b n);
         0.)
   in
   let init_cells =
@@ -384,15 +396,16 @@ let program cfg =
         ]
       (fun accs _ ->
         let cs = accs.(0) in
-        let w = Array.map (Accessor.writer cs) [| frho; fe; frho0; fe0; frrho; fre |] in
+        let w = Array.map (Accessor.write_column cs) [| frho; fe; frho0; fe0; frrho; fre |] in
         Accessor.iter_runs cs (fun lo hi ->
+            let b = Accessor.run_base cs lo hi in
             for c = lo to hi do
-              w.(0) c (1. +. (0.1 *. float_of_int ((c * 13) mod 17) /. 17.));
-              w.(1) c (2.5 +. (0.2 *. float_of_int ((c * 7) mod 23) /. 23.));
-              w.(2) c 0.;
-              w.(3) c 0.;
-              w.(4) c 0.;
-              w.(5) c 0.
+              let i = b + c - lo in
+              w.(0).(i) <- 1. +. (0.1 *. float_of_int ((c * 13) mod 17) /. 17.);
+              w.(1).(i) <- 2.5 +. (0.2 *. float_of_int ((c * 7) mod 23) /. 23.);
+              for k = 2 to 5 do
+                w.(k).(i) <- 0.
+              done
             done);
         0.)
   in
@@ -413,16 +426,18 @@ let program cfg =
         ]
       (fun accs _ ->
         let fs = accs.(0) in
-        let wfrho = Accessor.writer fs fflux_rho
-        and wfe = Accessor.writer fs fflux_e
-        and wlc = Accessor.writer fs flc
-        and wrc = Accessor.writer fs frc in
+        let flux_rho = Accessor.write_column fs fflux_rho
+        and flux_e = Accessor.write_column fs fflux_e
+        and lc = Accessor.write_column fs flc
+        and rc = Accessor.write_column fs frc in
         Accessor.iter_runs fs (fun lo hi ->
+            let b = Accessor.run_base fs lo hi in
             for f = lo to hi do
-              wfrho f 0.;
-              wfe f 0.;
-              wlc f (float_of_int m.face_lc.(f));
-              wrc f (float_of_int m.face_rc.(f))
+              let i = b + f - lo in
+              flux_rho.(i) <- 0.;
+              flux_e.(i) <- 0.;
+              lc.(i) <- float_of_int m.face_lc.(f);
+              rc.(i) <- float_of_int m.face_rc.(f)
             done);
         0.)
   in

@@ -191,13 +191,8 @@ let program cfg =
   Program.Builder.space b ~name:"P" m.pieces;
   Program.Builder.scalar b ~name:"dt" 1e-3;
   let corner_sign = [| (-1., -1.); (1., -1.); (-1., 1.); (1., 1.) |] in
-  (* Point dispatch through pvt, shr or ghost (arguments 1-3): hoisted
-     per-field closures selected by O(1) membership probes. *)
-  let covering accs f n =
-    if Accessor.mem accs.(1) n then f.(0) n
-    else if Accessor.mem accs.(2) n then f.(1) n
-    else if Accessor.mem accs.(3) n then f.(2) n
-    else invalid_arg (Printf.sprintf "pennant: point %d not covered" n)
+  let not_covered n =
+    invalid_arg (Printf.sprintf "pennant: point %d not covered" n)
   in
   let calc_dt =
     Task.make ~name:"calc_dt"
@@ -211,14 +206,15 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(0) *. dt_seconds_per_zone)
       (fun accs _ ->
         let zs = accs.(0) in
-        let rvol = Accessor.reader zs fzvol and rp = Accessor.reader zs fzp in
+        let vol = Accessor.read_column zs fzvol
+        and p = Accessor.read_column zs fzp in
         let acc = ref Float.infinity in
         Accessor.iter_runs zs (fun lo hi ->
-            for z = lo to hi do
+            let b = Accessor.run_base zs lo hi in
+            for i = b to b + hi - lo do
               acc :=
                 Float.min !acc
-                  (0.05 *. sqrt (Float.abs (rvol z))
-                  /. (1. +. Float.abs (rp z)))
+                  (0.05 *. sqrt (Float.abs vol.(i)) /. (1. +. Float.abs p.(i)))
             done);
         !acc)
   in
@@ -235,12 +231,13 @@ let program cfg =
       ~cost:(fun sizes -> float_of_int sizes.(0) *. eos_seconds_per_zone)
       (fun accs _ ->
         let zs = accs.(0) in
-        let wp = Accessor.writer zs fzp
-        and rrho = Accessor.reader zs fzrho
-        and re = Accessor.reader zs fze in
+        let p = Accessor.write_column zs fzp
+        and rho = Accessor.read_column zs fzrho
+        and e = Accessor.read_column zs fze in
         Accessor.iter_runs zs (fun lo hi ->
-            for z = lo to hi do
-              wp z (0.4 *. rrho z *. re z)
+            let b = Accessor.run_base zs lo hi in
+            for i = b to b + hi - lo do
+              p.(i) <- 0.4 *. rho.(i) *. e.(i)
             done);
         0.)
   in
@@ -260,23 +257,46 @@ let program cfg =
         ]
       ~cost:(fun sizes -> float_of_int sizes.(0) *. forces_seconds_per_zone)
       (fun accs _ ->
-        let zs = accs.(0) in
-        let rp = Accessor.reader zs fzp in
-        let rpt = Array.map (Accessor.reader zs) fpt in
-        let dfx =
-          Array.map (fun k -> Accessor.reducer accs.(k) fpfx) [| 1; 2; 3 |]
-        and dfy =
-          Array.map (fun k -> Accessor.reducer accs.(k) fpfy) [| 1; 2; 3 |]
+        let zs = accs.(0) and pvt = accs.(1) and shr = accs.(2)
+        and ghost = accs.(3) in
+        let zp = Accessor.read_column zs fzp in
+        let zpt = Array.map (Accessor.read_column zs) fpt in
+        let sum a f = Accessor.reduce_column a ~op:Privilege.Sum f in
+        let fxp = sum pvt fpfx and fyp = sum pvt fpfy
+        and fxs = sum shr fpfx and fys = sum shr fpfy
+        and fxg = sum ghost fpfx and fyg = sum ghost fpfy in
+        (* Point dispatch through whichever of pvt, shr and ghost covers
+           the corner. *)
+        let[@inline] deposit n fx fy =
+          let k = Accessor.index pvt n in
+          if k >= 0 then begin
+            fxp.(k) <- fxp.(k) +. fx;
+            fyp.(k) <- fyp.(k) +. fy
+          end
+          else
+            let k = Accessor.index shr n in
+            if k >= 0 then begin
+              fxs.(k) <- fxs.(k) +. fx;
+              fys.(k) <- fys.(k) +. fy
+            end
+            else
+              let k = Accessor.index ghost n in
+              if k >= 0 then begin
+                fxg.(k) <- fxg.(k) +. fx;
+                fyg.(k) <- fyg.(k) +. fy
+              end
+              else not_covered n
         in
         Accessor.iter_runs zs (fun lo hi ->
-            for z = lo to hi do
-              let p = rp z in
-              Array.iteri
-                (fun k (sx, sy) ->
-                  let pt = int_of_float (rpt.(k) z) in
-                  covering accs dfx pt (0.5 *. sx *. p);
-                  covering accs dfy pt (0.5 *. sy *. p))
-                corner_sign
+            let b = Accessor.run_base zs lo hi in
+            for i = b to b + hi - lo do
+              let p = zp.(i) in
+              for k = 0 to 3 do
+                let sx, sy = corner_sign.(k) in
+                deposit
+                  (int_of_float zpt.(k).(i))
+                  (0.5 *. sx *. p) (0.5 *. sy *. p)
+              done
             done);
         0.)
   in
@@ -301,30 +321,25 @@ let program cfg =
         let dt = sargs.(0) in
         Array.iter
           (fun acc ->
-            let rm = Accessor.reader acc fpm
-            and rvx = Accessor.reader acc fpvx
-            and rvy = Accessor.reader acc fpvy
-            and rfx = Accessor.reader acc fpfx
-            and rfy = Accessor.reader acc fpfy
-            and rpx = Accessor.reader acc fppx
-            and rpy = Accessor.reader acc fppy
-            and wvx = Accessor.writer acc fpvx
-            and wvy = Accessor.writer acc fpvy
-            and wpx = Accessor.writer acc fppx
-            and wpy = Accessor.writer acc fppy
-            and wfx = Accessor.writer acc fpfx
-            and wfy = Accessor.writer acc fpfy in
+            let m = Accessor.read_column acc fpm
+            and cvx = Accessor.write_column acc fpvx
+            and cvy = Accessor.write_column acc fpvy
+            and fx = Accessor.write_column acc fpfx
+            and fy = Accessor.write_column acc fpfy
+            and px = Accessor.write_column acc fppx
+            and py = Accessor.write_column acc fppy in
             Accessor.iter_runs acc (fun lo hi ->
-                for p = lo to hi do
-                  let minv = 1. /. rm p in
-                  let vx = rvx p +. (dt *. rfx p *. minv)
-                  and vy = rvy p +. (dt *. rfy p *. minv) in
-                  wvx p vx;
-                  wvy p vy;
-                  wpx p (rpx p +. (dt *. vx));
-                  wpy p (rpy p +. (dt *. vy));
-                  wfx p 0.;
-                  wfy p 0.
+                let b = Accessor.run_base acc lo hi in
+                for i = b to b + hi - lo do
+                  let minv = 1. /. m.(i) in
+                  let vx = cvx.(i) +. (dt *. fx.(i) *. minv)
+                  and vy = cvy.(i) +. (dt *. fy.(i) *. minv) in
+                  cvx.(i) <- vx;
+                  cvy.(i) <- vy;
+                  px.(i) <- px.(i) +. (dt *. vx);
+                  py.(i) <- py.(i) +. (dt *. vy);
+                  fx.(i) <- 0.;
+                  fy.(i) <- 0.
                 done))
           [| accs.(0); accs.(1) |];
         0.)
@@ -351,38 +366,54 @@ let program cfg =
         ]
       ~cost:(fun sizes -> float_of_int sizes.(0) *. update_seconds_per_zone)
       (fun accs _ ->
-        let zs = accs.(0) in
-        let rzp = Accessor.reader zs fzp
-        and rzm = Accessor.reader zs fzm
-        and rze = Accessor.reader zs fze
-        and rzvol = Accessor.reader zs fzvol
-        and wze = Accessor.writer zs fze
-        and wzvol = Accessor.writer zs fzvol
-        and wzrho = Accessor.writer zs fzrho in
-        let rpt = Array.map (Accessor.reader zs) fpt in
-        let ppx =
-          Array.map (fun k -> Accessor.reader accs.(k) fppx) [| 1; 2; 3 |]
-        and ppy =
-          Array.map (fun k -> Accessor.reader accs.(k) fppy) [| 1; 2; 3 |]
+        let zs = accs.(0) and pvt = accs.(1) and shr = accs.(2)
+        and ghost = accs.(3) in
+        let zp = Accessor.read_column zs fzp
+        and zm = Accessor.read_column zs fzm
+        and ze = Accessor.write_column zs fze
+        and zvol = Accessor.write_column zs fzvol
+        and zrho = Accessor.write_column zs fzrho in
+        let zpt = Array.map (Accessor.read_column zs) fpt in
+        let col a f = Accessor.read_column a f in
+        let xp = col pvt fppx and yp = col pvt fppy
+        and xs = col shr fppx and ys = col shr fppy
+        and xg = col ghost fppx and yg = col ghost fppy in
+        (* A corner's coordinate, from the column (of pvt, shr or ghost)
+           of whichever argument covers the point. *)
+        let[@inline] coord cp cs cg n =
+          let k = Accessor.index pvt n in
+          if k >= 0 then cp.(k)
+          else
+            let k = Accessor.index shr n in
+            if k >= 0 then cs.(k)
+            else
+              let k = Accessor.index ghost n in
+              if k >= 0 then cg.(k) else not_covered n
         in
-        Accessor.iter_runs zs (fun zlo zhi ->
-          for z = zlo to zhi do
-            let px k = covering accs ppx (int_of_float (rpt.(k) z))
-            and py k = covering accs ppy (int_of_float (rpt.(k) z)) in
-            (* Shoelace area of the quad with corners 0,1,3,2 (ccw). *)
-            let order = [| 0; 1; 3; 2 |] in
-            let vol = ref 0. in
-            for k = 0 to 3 do
-              let a = order.(k) and b = order.((k + 1) mod 4) in
-              vol := !vol +. ((px a *. py b) -. (px b *. py a))
-            done;
-            let vol = 0.5 *. Float.abs !vol in
-            let old_vol = rzvol z in
-            let zm = rzm z in
-            wze z (rze z -. (rzp z *. (vol -. old_vol) /. zm));
-            wzvol z vol;
-            wzrho z (zm /. Float.max vol 1e-12)
-          done);
+        Accessor.iter_runs zs (fun lo hi ->
+            let b = Accessor.run_base zs lo hi in
+            for i = b to b + hi - lo do
+              let n0 = int_of_float zpt.(0).(i)
+              and n1 = int_of_float zpt.(1).(i)
+              and n2 = int_of_float zpt.(2).(i)
+              and n3 = int_of_float zpt.(3).(i) in
+              let x0 = coord xp xs xg n0 and y0 = coord yp ys yg n0
+              and x1 = coord xp xs xg n1 and y1 = coord yp ys yg n1
+              and x2 = coord xp xs xg n2 and y2 = coord yp ys yg n2
+              and x3 = coord xp xs xg n3 and y3 = coord yp ys yg n3 in
+              (* Shoelace area of the quad with corners 0,1,3,2 (ccw). *)
+              let vol = ref 0. in
+              vol := !vol +. ((x0 *. y1) -. (x1 *. y0));
+              vol := !vol +. ((x1 *. y3) -. (x3 *. y1));
+              vol := !vol +. ((x3 *. y2) -. (x2 *. y3));
+              vol := !vol +. ((x2 *. y0) -. (x0 *. y2));
+              let vol = 0.5 *. Float.abs !vol in
+              let old_vol = zvol.(i) in
+              let mass = zm.(i) in
+              ze.(i) <- ze.(i) -. (zp.(i) *. (vol -. old_vol) /. mass);
+              zvol.(i) <- vol;
+              zrho.(i) <- mass /. Float.max vol 1e-12
+            done);
         0.)
   in
   let init_zones =
@@ -404,23 +435,25 @@ let program cfg =
         ]
       (fun accs _ ->
         let zs = accs.(0) in
-        let wrho = Accessor.writer zs fzrho
-        and we = Accessor.writer zs fze
-        and wp = Accessor.writer zs fzp
-        and wvol = Accessor.writer zs fzvol
-        and wm = Accessor.writer zs fzm in
-        let wpt = Array.map (Accessor.writer zs) fpt in
+        let rho = Accessor.write_column zs fzrho
+        and e = Accessor.write_column zs fze
+        and p = Accessor.write_column zs fzp
+        and vol = Accessor.write_column zs fzvol
+        and zm = Accessor.write_column zs fzm in
+        let pt = Array.map (Accessor.write_column zs) fpt in
         Accessor.iter_runs zs (fun lo hi ->
+            let b = Accessor.run_base zs lo hi in
             for z = lo to hi do
-              wrho z 1.;
+              let i = b + z - lo in
+              rho.(i) <- 1.;
               (* A central "Sedov-like" energy concentration. *)
-              we z (if z = m.n_zones / 2 then 10. else 1.);
-              wp z 0.;
-              wvol z 1.;
-              wm z 1.;
-              Array.iteri
-                (fun k w -> w z (float_of_int m.zone_pts.(z).(k)))
-                wpt
+              e.(i) <- (if z = m.n_zones / 2 then 10. else 1.);
+              p.(i) <- 0.;
+              vol.(i) <- 1.;
+              zm.(i) <- 1.;
+              for k = 0 to 3 do
+                pt.(k).(i) <- float_of_int m.zone_pts.(z).(k)
+              done
             done);
         0.)
   in
@@ -443,22 +476,25 @@ let program cfg =
           };
         ]
       (fun accs _ ->
-        let wpx = Accessor.writer accs.(0) fppx
-        and wpy = Accessor.writer accs.(0) fppy
-        and wvx = Accessor.writer accs.(0) fpvx
-        and wvy = Accessor.writer accs.(0) fpvy
-        and wfx = Accessor.writer accs.(0) fpfx
-        and wfy = Accessor.writer accs.(0) fpfy
-        and wm = Accessor.writer accs.(0) fpm in
-        Accessor.iter_runs accs.(0) (fun lo hi ->
+        let t = accs.(0) in
+        let px = Accessor.write_column t fppx
+        and py = Accessor.write_column t fppy
+        and vx = Accessor.write_column t fpvx
+        and vy = Accessor.write_column t fpvy
+        and fx = Accessor.write_column t fpfx
+        and fy = Accessor.write_column t fpfy
+        and pm = Accessor.write_column t fpm in
+        Accessor.iter_runs t (fun lo hi ->
+            let b = Accessor.run_base t lo hi in
             for p = lo to hi do
-              wpx p (float_of_int (p mod (w + 1)));
-              wpy p (float_of_int (p / (w + 1)));
-              wvx p 0.;
-              wvy p 0.;
-              wfx p 0.;
-              wfy p 0.;
-              wm p 1.
+              let i = b + p - lo in
+              px.(i) <- float_of_int (p mod (w + 1));
+              py.(i) <- float_of_int (p / (w + 1));
+              vx.(i) <- 0.;
+              vy.(i) <- 0.;
+              fx.(i) <- 0.;
+              fy.(i) <- 0.;
+              pm.(i) <- 1.
             done);
         0.)
   in

@@ -123,10 +123,7 @@ let program cfg =
   (* Per arm-point weight w/r with w = 0.25: the stencil of a linear field
      is the field itself (see expected_output). *)
   let w = 0.25 in
-  let interior x y =
-    x >= r && x < g.width - r && y >= r && y < g.height - r
-  in
-  let u = grid_rect in
+  let h = g.height in
   let stencil_task =
     Task.make ~name:"stencil"
       ~params:
@@ -139,38 +136,106 @@ let program cfg =
         float_of_int sizes.(0) *. stencil_seconds_per_point)
       (fun accs _ ->
         let out = accs.(0) and own = accs.(1) and halo = accs.(2) in
-        let rout = Accessor.reader out fout
-        and wout = Accessor.writer out fout
-        and rown = Accessor.reader own fin
-        and rhalo = Accessor.reader halo fin in
-        (* Runs vary the fastest axis (y; x only on a row carry), so the
-           coordinates are tracked incrementally instead of delinearizing
-           every point. *)
-        Accessor.iter_runs out (fun lo hi ->
-            let p = Rect.delinearize u lo in
-            let x = ref p.(0) and y = ref p.(1) in
-            for id = lo to hi do
-              if interior !x !y then begin
-                let acc = ref (rout id) in
-                for k = 1 to r do
-                  let at dx dy =
-                    let nid =
-                      Rect.linearize u (Point.make2 (!x + dx) (!y + dy))
-                    in
-                    if Accessor.mem own nid then rown nid else rhalo nid
-                  in
-                  acc :=
-                    !acc
-                    +. (w /. float_of_int r)
-                       *. (at k 0 +. at (-k) 0 +. at 0 k +. at 0 (-k))
-                done;
-                wout id !acc
-              end;
-              incr y;
-              if !y = g.height then begin
-                y := 0;
-                incr x
+        let oc = Accessor.write_column out fout
+        and ic = Accessor.read_column own fin
+        and hc = Accessor.read_column halo fin in
+        let c = w /. float_of_int r in
+        (* Point (x, y) has id x*h + y, so the neighbour at distance k
+           along arm a (+x, -x, +y, -y) is at id + step a * k. *)
+        let step = [| h; -h; 1; -1 |] in
+        (* A neighbour read outside [own] falls back to [halo], whose
+           lookup raises when the point is in neither. *)
+        let[@inline] at nid =
+          let k = Accessor.index own nid in
+          if k >= 0 then ic.(k) else hc.(Accessor.run_base halo nid nid)
+        in
+        let point id ob =
+          let acc = ref oc.(ob) in
+          for k = 1 to r do
+            acc :=
+              !acc
+              +. c
+                 *. (at (id + (k * h)) +. at (id - (k * h)) +. at (id + k)
+                    +. at (id - k))
+          done;
+          oc.(ob) <- !acc
+        in
+        (* Window j = 4(k-1) + a: the neighbours at distance k along arm a
+           of a run of points, read from [wcol.(j)] at [wbase.(j) + i]. *)
+        let wcol = Array.make (4 * r) ic and wbase = Array.make (4 * r) 0 in
+        let windows lo hi =
+          let ok = ref true and j = ref 0 in
+          while !ok && !j < 4 * r do
+            let d = step.(!j land 3) * ((!j / 4) + 1) in
+            let b = Accessor.run_base_opt own (lo + d) (hi + d) in
+            if b >= 0 then begin
+              wcol.(!j) <- ic;
+              wbase.(!j) <- b
+            end
+            else begin
+              (* Halos exclude the tile, so a window is wholly in one. *)
+              let b = Accessor.run_base_opt halo (lo + d) (hi + d) in
+              if b >= 0 then begin
+                wcol.(!j) <- hc;
+                wbase.(!j) <- b
               end
+              else ok := false
+            end;
+            incr j
+          done;
+          !ok
+        in
+        (* Interior points [ys..ye] of row x. The r points at each end
+           have y-arm neighbours across the tile edge and go point by
+           point; the middle reads one window per arm and distance. *)
+        let segment x ys ye =
+          let row = x * h in
+          let ob = Accessor.run_base out (row + ys) (row + ye) in
+          let ms = ys + r and me = ye - r in
+          if ms <= me && windows (row + ms) (row + me) then begin
+            for y = ys to ms - 1 do
+              point (row + y) (ob + y - ys)
+            done;
+            (* One pass per distance, each adding that distance's four
+               arms to every point: per point, the additions happen in
+               the order [point] makes them. *)
+            let om = ob + r in
+            for k = 0 to r - 1 do
+              let j = 4 * k in
+              let xp = wcol.(j) and xm = wcol.(j + 1) and yp = wcol.(j + 2)
+              and ym = wcol.(j + 3) in
+              let bxp = wbase.(j) - om and bxm = wbase.(j + 1) - om
+              and byp = wbase.(j + 2) - om and bym = wbase.(j + 3) - om in
+              for i = om to om + me - ms do
+                oc.(i) <-
+                  oc.(i)
+                  +. c
+                     *. (xp.(bxp + i) +. xm.(bxm + i) +. yp.(byp + i)
+                        +. ym.(bym + i))
+              done
+            done;
+            for y = me + 1 to ye do
+              point (row + y) (ob + y - ys)
+            done
+          end
+          else
+            for y = ys to ye do
+              point (row + y) (ob + y - ys)
+            done
+        in
+        (* Split each run into rows (a run spans several only when the
+           tile is as tall as the grid) and keep the interior. *)
+        Accessor.iter_runs out (fun lo hi ->
+            let id = ref lo in
+            while !id <= hi do
+              let x = !id / h in
+              let last = min hi ((x * h) + h - 1) in
+              if x >= r && x < g.width - r then begin
+                let ys = max (!id - (x * h)) r
+                and ye = min (last - (x * h)) (h - r - 1) in
+                if ys <= ye then segment x ys ye
+              end;
+              id := last + 1
             done);
         0.)
   in
@@ -180,11 +245,12 @@ let program cfg =
       ~cost:(fun sizes ->
         float_of_int sizes.(0) *. increment_seconds_per_point)
       (fun accs _ ->
-        let rin = Accessor.reader accs.(0) fin
-        and win = Accessor.writer accs.(0) fin in
-        Accessor.iter_runs accs.(0) (fun lo hi ->
-            for id = lo to hi do
-              win id (rin id +. 1.)
+        let t = accs.(0) in
+        let col = Accessor.write_column t fin in
+        Accessor.iter_runs t (fun lo hi ->
+            let b = Accessor.run_base t lo hi in
+            for i = b to b + hi - lo do
+              col.(i) <- col.(i) +. 1.
             done);
         0.)
   in
@@ -193,19 +259,14 @@ let program cfg =
       ~params:
         [ { Task.pname = "grid"; privs = [ Privilege.writes fin; Privilege.writes fout ] } ]
       (fun accs _ ->
-        let win = Accessor.writer accs.(0) fin
-        and wout = Accessor.writer accs.(0) fout in
-        Accessor.iter_runs accs.(0) (fun lo hi ->
-            let p = Rect.delinearize u lo in
-            let x = ref p.(0) and y = ref p.(1) in
+        let t = accs.(0) in
+        let cin = Accessor.write_column t fin
+        and cout = Accessor.write_column t fout in
+        Accessor.iter_runs t (fun lo hi ->
+            let b = Accessor.run_base t lo hi in
             for id = lo to hi do
-              win id (float_of_int (!x + !y));
-              wout id 0.;
-              incr y;
-              if !y = g.height then begin
-                y := 0;
-                incr x
-              end
+              cin.(b + id - lo) <- float_of_int ((id / h) + (id mod h));
+              cout.(b + id - lo) <- 0.
             done);
         0.)
   in

@@ -2,7 +2,7 @@ type t = int array
 
 let empty = [||]
 
-let dedup_sorted a =
+let dedup_sorted (a : int array) =
   let n = Array.length a in
   if n = 0 then a
   else begin
@@ -32,16 +32,17 @@ let to_array s = s
 let cardinal = Array.length
 let is_empty s = Array.length s = 0
 
-let mem s x =
-  let lo = ref 0 and hi = ref (Array.length s - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
+let index_of_opt (s : t) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length s - 1) and res = ref (-1) in
+  while !res < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    if s.(mid) = x then found := true
+    if s.(mid) = x then res := mid
     else if s.(mid) < x then lo := mid + 1
     else hi := mid - 1
   done;
-  !found
+  !res
+
+let mem s x = index_of_opt s x >= 0
 
 let min_elt s = if is_empty s then raise Not_found else s.(0)
 let max_elt s = if is_empty s then raise Not_found else s.(cardinal s - 1)
@@ -118,7 +119,7 @@ let diff a b =
   done;
   if !w = na then out else Array.sub out 0 !w
 
-let disjoint a b =
+let disjoint (a : t) (b : t) =
   let na = Array.length a and nb = Array.length b in
   let i = ref 0 and j = ref 0 and d = ref true in
   while !d && !i < na && !j < nb do

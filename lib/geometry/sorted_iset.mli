@@ -24,6 +24,11 @@ val to_array : t -> int array
 val cardinal : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
+
+val index_of_opt : t -> int -> int
+(** [index_of_opt s x] is the rank of [x] in [s] (its position in
+    {!to_array}), or [-1] when [x] is absent. O(log n); never allocates. *)
+
 val min_elt : t -> int
 val max_elt : t -> int
 (** [min_elt]/[max_elt] raise [Not_found] on the empty set. *)

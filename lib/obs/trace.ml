@@ -39,7 +39,7 @@ let virtual_pid = 1
 
 type ring = {
   cap : int;
-  mutable arr : event array; (* empty until the first event *)
+  mutable arr : event array; (* grown by doubling up to [cap] *)
   mutable start : int;
   mutable len : int;
   mutable dropped : int;
@@ -122,7 +122,15 @@ let emit t e =
   | Null -> ()
   | Memory r ->
       Mutex.lock t.mutex;
-      if Array.length r.arr = 0 then r.arr <- Array.make r.cap e;
+      (* Until the ring first fills, [start] is 0 and events sit in
+         [arr.(0 .. len-1)], so growing is one blit. Doubling keeps the
+         cost of a short trace proportional to its length rather than to
+         [cap]. *)
+      if r.len = Array.length r.arr && r.len < r.cap then begin
+        let arr = Array.make (min r.cap (max 1024 (2 * r.len))) e in
+        Array.blit r.arr 0 arr 0 r.len;
+        r.arr <- arr
+      end;
       if r.len < r.cap then begin
         r.arr.((r.start + r.len) mod r.cap) <- e;
         r.len <- r.len + 1

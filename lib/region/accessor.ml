@@ -62,102 +62,74 @@ let set t f id v =
       violation "write to field %s under a reduce-only privilege" (Field.name f)
   | None -> violation "write to undeclared field %s" (Field.name f)
 
-let reduce_with t ~op f id v =
-  check_elt t id;
-  Physical.update t.inst f id (fun old -> Privilege.apply_redop op old v)
-
 let reduce t f id v =
   match mode_of t f with
-  | Some (Privilege.Reduce op) -> reduce_with t ~op f id v
+  | Some (Privilege.Reduce op) ->
+      check_elt t id;
+      Physical.update t.inst f id (fun old -> Privilege.apply_redop op old v)
   | Some Privilege.Read_write ->
       violation
-        "reduce to field %s under reads-writes: use reduce_op to name the \
-         operator"
+        "reduce to field %s under reads-writes: use reduce_column to name \
+         the operator"
         (Field.name f)
   | Some Privilege.Read ->
       violation "reduce to field %s under a read-only privilege" (Field.name f)
   | None -> violation "reduce to undeclared field %s" (Field.name f)
 
-let reduce_op t ~op f id v =
+(* Run windows: the privilege is checked once per column fetch and view
+   containment once per run of ids, so a kernel's inner loop is a bare
+   array access at [base + i]. *)
+
+let read_column t f =
   match mode_of t f with
-  | Some (Privilege.Reduce op') when op' = op -> reduce_with t ~op f id v
-  | Some Privilege.Read_write -> reduce_with t ~op f id v
-  | Some (Privilege.Reduce _) ->
-      violation "reduce to field %s with a mismatched operator" (Field.name f)
-  | Some Privilege.Read ->
-      violation "reduce to field %s under a read-only privilege" (Field.name f)
-  | None -> violation "reduce to undeclared field %s" (Field.name f)
-
-(* Bulk access: privileges are checked once, at closure creation, and the
-   closure body is the hoisted fast path — column and addressing resolved
-   up front, the per-element work reduced to an index lookup plus the
-   array access. View containment is still enforced per element (it is
-   what keeps a kernel inside its subregion), but through the instance's
-   O(1) addressing whenever the view is full. *)
-
-let read_idx t col id =
-  let k = Physical.index_of_opt t.inst id in
-  if k >= 0 && (t.full || Index_space.mem t.space id) then Array.get col k
-  else
-    violation "access to element %d outside the argument's index space" id
-
-let write_idx t col id v =
-  let k = Physical.index_of_opt t.inst id in
-  if k >= 0 && (t.full || Index_space.mem t.space id) then Array.set col k v
-  else
-    violation "access to element %d outside the argument's index space" id
-
-let reader t f =
-  match mode_of t f with
-  | Some (Privilege.Read | Privilege.Read_write) ->
-      let col = Physical.column t.inst f in
-      fun id -> read_idx t col id
+  | Some (Privilege.Read | Privilege.Read_write) -> Physical.column t.inst f
   | Some (Privilege.Reduce _) ->
       violation "read of field %s under a reduce-only privilege" (Field.name f)
   | None -> violation "read of undeclared field %s" (Field.name f)
 
-let writer t f =
+let write_column t f =
   match mode_of t f with
-  | Some Privilege.Read_write ->
-      let col = Physical.column t.inst f in
-      fun id v -> write_idx t col id v
+  | Some Privilege.Read_write -> Physical.column t.inst f
   | Some Privilege.Read ->
       violation "write to field %s under a read-only privilege" (Field.name f)
   | Some (Privilege.Reduce _) ->
       violation "write to field %s under a reduce-only privilege" (Field.name f)
   | None -> violation "write to undeclared field %s" (Field.name f)
 
-let reducer_with t ~op f =
-  let col = Physical.column t.inst f in
-  let app = Privilege.apply_redop op in
-  fun id v ->
-    let k = Physical.index_of_opt t.inst id in
-    if k >= 0 && (t.full || Index_space.mem t.space id) then
-      col.(k) <- app col.(k) v
-    else
-      violation "access to element %d outside the argument's index space" id
-
-let reducer t f =
+let reduce_column t ~op f =
   match mode_of t f with
-  | Some (Privilege.Reduce op) -> reducer_with t ~op f
-  | Some Privilege.Read_write ->
-      violation
-        "reduce to field %s under reads-writes: use reducer_op to name the \
-         operator"
-        (Field.name f)
-  | Some Privilege.Read ->
-      violation "reduce to field %s under a read-only privilege" (Field.name f)
-  | None -> violation "reduce to undeclared field %s" (Field.name f)
-
-let reducer_op t ~op f =
-  match mode_of t f with
-  | Some (Privilege.Reduce op') when op' = op -> reducer_with t ~op f
-  | Some Privilege.Read_write -> reducer_with t ~op f
+  | Some (Privilege.Reduce op') when op' = op -> Physical.column t.inst f
+  | Some Privilege.Read_write -> Physical.column t.inst f
   | Some (Privilege.Reduce _) ->
       violation "reduce to field %s with a mismatched operator" (Field.name f)
   | Some Privilege.Read ->
       violation "reduce to field %s under a read-only privilege" (Field.name f)
   | None -> violation "reduce to undeclared field %s" (Field.name f)
+
+(* Storage is id-sorted, so for a full view [lo..hi] is stored (and
+   consecutively) iff both ends are and their storage indices lie
+   [hi - lo] apart. A strict subview proves the run is in the view first;
+   the instance holds the view, so the run is then stored consecutively. *)
+let run_base_opt t lo hi =
+  if hi < lo then invalid_arg "Accessor.run_base: empty run";
+  let k0 = Physical.index_of_opt t.inst lo in
+  if k0 < 0 then -1
+  else if t.full then
+    if lo = hi || Physical.index_of_opt t.inst hi - k0 = hi - lo then k0
+    else -1
+  else if Index_space.mem_run t.space lo hi then k0
+  else -1
+
+let run_base t lo hi =
+  let k = run_base_opt t lo hi in
+  if k < 0 then
+    violation "access to elements %d..%d outside the argument's index space"
+      lo hi;
+  k
+
+let index t id =
+  if t.full || Index_space.mem t.space id then Physical.index_of_opt t.inst id
+  else -1
 
 let iter t f = Index_space.iter_ids f t.space
 let iter_runs t k = Index_space.iter_id_runs k t.space

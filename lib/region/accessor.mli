@@ -6,7 +6,16 @@
     ignore task bodies entirely. An access outside the declared privileges
     raises {!Privilege_violation} (and tests assert this fires). Accessors
     also restrict the view to the task argument's index space, so a kernel
-    cannot reach elements of the parent region outside its subregion. *)
+    cannot reach elements of the parent region outside its subregion.
+
+    Kernels use {e run windows}: they fetch a field's storage column once
+    ({!read_column}, {!write_column}, {!reduce_column} check the privilege
+    there), prove a run of consecutive ids is in the view once
+    ({!run_base} returns the storage index of the run's first id), and
+    then index the column directly at [base + (id - lo)]. Irregular
+    gathers look single ids up with {!index}. The per-element
+    {!get}/{!set}/{!reduce} re-check both on every call; they remain the
+    reference path. *)
 
 exception Privilege_violation of string
 
@@ -26,40 +35,43 @@ val set : t -> Field.t -> int -> float -> unit
 (** Requires [Read_write] on the field. *)
 
 val reduce : t -> Field.t -> int -> float -> unit
-(** Folds the value with the declared operator; requires [Reduce _] or
-    [Read_write] on the field (under [Read_write] the caller passes the
-    operator explicitly via {!reduce_op}). *)
-
-val reduce_op : t -> op:Privilege.redop -> Field.t -> int -> float -> unit
+(** Folds the value with the declared operator; requires [Reduce _] on the
+    field. *)
 
 val mem : t -> int -> bool
 (** Whether a global identifier is in the accessor's view. O(1) when the
     view covers the whole instance (the executor's per-color instances);
     falls back to the index-space membership test for strict subviews. *)
 
-(** {2 Bulk access}
+(** {2 Run windows} *)
 
-    The per-element entry points above re-resolve the privilege and the
-    field column on every call. The closure constructors below do that
-    work once: the privilege is checked at construction (raising
-    {!Privilege_violation} immediately on a mode mismatch), the storage
-    column and addressing mode are hoisted, and the returned closure only
-    performs the containment check and the array access. Kernels iterate
-    with {!iter_runs} and one closure per field. *)
+val read_column : t -> Field.t -> float array
+(** The storage column of a field declared [Read] or [Read_write]; raises
+    {!Privilege_violation} otherwise. Index it only at storage indices
+    obtained from {!run_base} or {!index}. *)
 
-val reader : t -> Field.t -> int -> float
-(** [reader t f] requires [Read] or [Read_write] on [f]; the closure
-    raises {!Privilege_violation} on elements outside the view. *)
+val write_column : t -> Field.t -> float array
+(** Like {!read_column}; requires [Read_write]. *)
 
-val writer : t -> Field.t -> int -> float -> unit
-(** Requires [Read_write]. *)
+val reduce_column : t -> op:Privilege.redop -> Field.t -> float array
+(** Like {!read_column} for a kernel that folds into the field with [op]:
+    requires a [Reduce op] declaration with the same operator, or
+    [Read_write]. *)
 
-val reducer : t -> Field.t -> int -> float -> unit
-(** Requires [Reduce _]; folds with the declared operator. *)
+val run_base : t -> int -> int -> int
+(** [run_base t lo hi] is the storage index of [lo] after proving that
+    every id in [lo..hi] is in the view and stored consecutively, so
+    [id] lives at [run_base t lo hi + (id - lo)]. Raises
+    {!Privilege_violation} otherwise, and [Invalid_argument] when
+    [hi < lo]. O(1) for full views (two addressing lookups); strict
+    subviews add one {!Index_space.mem_run}. Never allocates. *)
 
-val reducer_op : t -> op:Privilege.redop -> Field.t -> int -> float -> unit
-(** Like {!reducer} but for [Read_write] arguments (or a matching
-    [Reduce] declaration), naming the operator explicitly. *)
+val run_base_opt : t -> int -> int -> int
+(** Like {!run_base} but returns [-1] instead of raising. *)
+
+val index : t -> int -> int
+(** Storage index of an id in the view, or [-1] when it is outside:
+    [run_base_opt t id id]. *)
 
 val iter : t -> (int -> unit) -> unit
 (** Iterate the accessor's index space (global identifiers). *)

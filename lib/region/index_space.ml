@@ -100,14 +100,55 @@ let cardinal = function
 
 let is_empty t = cardinal t = 0
 
+(* Structured membership without materialising the point: coordinates
+   are peeled off the rank one axis at a time, last (fastest) axis
+   first. [contains_rank u r i rest] checks axes [0..i] of the point
+   whose remaining rank is [rest]. *)
+let rec contains_rank (u : Rect.t) (r : Rect.t) i rest =
+  i < 0
+  ||
+  let e = u.Rect.hi.(i) - u.Rect.lo.(i) + 1 in
+  let c = u.Rect.lo.(i) + (rest mod e) in
+  c >= r.Rect.lo.(i) && c <= r.Rect.hi.(i)
+  && contains_rank u r (i - 1) (rest / e)
+
+(* The last id of the row of the rectangle in [rects] holding [id] (rows
+   run along the last axis), or [-1] when no rectangle holds it. *)
+let rec row_end (u : Rect.t) id = function
+  | [] -> -1
+  | (r : Rect.t) :: rest ->
+      let d = Rect.dim u - 1 in
+      if contains_rank u r d id then
+        let e = u.Rect.hi.(d) - u.Rect.lo.(d) + 1 in
+        id + r.Rect.hi.(d) - (u.Rect.lo.(d) + (id mod e))
+      else row_end u id rest
+
+(* Whether [id..hi] is covered, one rectangle lookup per row it crosses. *)
+let rec rows_in u rects id hi =
+  id > hi
+  ||
+  let e = row_end u id rects in
+  e >= 0 && rows_in u rects (e + 1) hi
+
 let mem t id =
   match t with
-  | S { u; rects } ->
-      id >= 0 && id < Rect.volume u
-      &&
-      let p = Rect.delinearize u id in
-      List.exists (fun r -> Rect.contains r p) rects
+  | S { u; rects } -> id >= 0 && id < Rect.volume u && row_end u id rects >= 0
   | U { elts; _ } -> Sorted_iset.mem elts id
+
+let mem_run t lo hi =
+  match t with
+  | S { u; rects } ->
+      lo > hi || (lo >= 0 && hi < Rect.volume u && rows_in u rects lo hi)
+  | U { elts; _ } ->
+      lo > hi
+      ||
+      (* Sorted and duplicate-free: [lo..hi] is in the set iff [hi] sits
+         exactly [hi - lo] places after [lo]. *)
+      let i = Sorted_iset.index_of_opt elts lo in
+      i >= 0
+      &&
+      let j = i + hi - lo in
+      j < Sorted_iset.cardinal elts && (Sorted_iset.to_array elts).(j) = hi
 
 let inter a b =
   check_same a b;
@@ -154,34 +195,6 @@ let disjoint a b =
 let subset a b = is_empty (diff a b)
 let equal a b = cardinal a = cardinal b && subset a b
 
-let ids = function
-  | U { elts; _ } -> elts
-  | S { u; rects } ->
-      let total = List.fold_left (fun n r -> n + Rect.volume r) 0 rects in
-      let out = Array.make total 0 in
-      let w = ref 0 in
-      List.iter
-        (fun r ->
-          Rect.iter
-            (fun p ->
-              out.(!w) <- Rect.linearize u p;
-              incr w)
-            r)
-        rects;
-      Array.sort Int.compare out;
-      Sorted_iset.of_sorted_array_unchecked out
-
-let iter_ids f t =
-  match t with
-  | U { elts; _ } -> Sorted_iset.iter f elts
-  | S { u; rects = [ r ]; _ } -> Rect.iter (fun p -> f (Rect.linearize u p)) r
-  | S _ -> Sorted_iset.iter f (ids t)
-
-let fold_ids f init t =
-  let acc = ref init in
-  iter_ids (fun id -> acc := f !acc id) t;
-  !acc
-
 let rects = function
   | S { rects; _ } -> rects
   | U _ -> invalid_arg "Index_space.rects: unstructured space"
@@ -227,21 +240,20 @@ let iter_id_runs k t =
       done
   | S { u; rects } ->
       let rows_of (r : Rect.t) emit =
+        (* An odometer over the outer axes; the last axis is the row. *)
         let d = Rect.dim r in
         let len = Rect.extent r (d - 1) in
-        if d = 1 then emit (Rect.linearize u r.Rect.lo) len
-        else begin
-          let outer =
-            Rect.make (Array.sub r.Rect.lo 0 (d - 1)) (Array.sub r.Rect.hi 0 (d - 1))
-          in
-          let p = Array.make d 0 in
-          p.(d - 1) <- r.Rect.lo.(d - 1);
-          Rect.iter
-            (fun q ->
-              Array.blit q 0 p 0 (d - 1);
-              emit (Rect.linearize u p) len)
-            outer
-        end
+        let p = Array.copy r.Rect.lo in
+        let more = ref true in
+        while !more do
+          emit (Rect.linearize u p) len;
+          let i = ref (d - 2) in
+          while !i >= 0 && p.(!i) = r.Rect.hi.(!i) do
+            p.(!i) <- r.Rect.lo.(!i);
+            decr i
+          done;
+          if !i < 0 then more := false else p.(!i) <- p.(!i) + 1
+        done
       in
       let emit_merged =
         (* Fuse id-adjacent rows into maximal runs as they stream by. *)
@@ -267,6 +279,35 @@ let iter_id_runs k t =
           let rows = List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc in
           List.iter (fun (lo, len) -> push lo len) rows);
       flush ()
+
+(* Structured ids stream row by row from the runs, already ascending. *)
+let iter_ids f t =
+  match t with
+  | U { elts; _ } -> Sorted_iset.iter f elts
+  | S _ ->
+      iter_id_runs
+        (fun lo hi ->
+          for id = lo to hi do
+            f id
+          done)
+        t
+
+let fold_ids f init t =
+  let acc = ref init in
+  iter_ids (fun id -> acc := f !acc id) t;
+  !acc
+
+let ids = function
+  | U { elts; _ } -> elts
+  | S _ as t ->
+      let out = Array.make (cardinal t) 0 in
+      let w = ref 0 in
+      iter_ids
+        (fun id ->
+          out.(!w) <- id;
+          incr w)
+        t;
+      Sorted_iset.of_sorted_array_unchecked out
 
 let id_runs t =
   match t with

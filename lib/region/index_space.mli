@@ -41,7 +41,13 @@ val same_universe : t -> t -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
-(** Membership by global identifier. *)
+(** Membership by global identifier. Never allocates. *)
+
+val mem_run : t -> int -> int -> bool
+(** [mem_run t lo hi] is whether every identifier in [lo..hi] is in [t]
+    ([true] when [lo > hi]). Structured spaces do one rectangle lookup per
+    row the run crosses; unstructured spaces one binary search. Never
+    allocates. *)
 
 val equal : t -> t -> bool
 val disjoint : t -> t -> bool

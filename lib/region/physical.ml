@@ -8,7 +8,7 @@ open Geometry
 type addressing =
   | Contiguous of { base : int }
   | Dense of { base : int; table : int array } (* table.(id - base) = idx | -1 *)
-  | Search of { arr : int array } (* the sorted id array itself *)
+  | Search (* binary search over [ids] *)
 
 type t = {
   ispace : Index_space.t;
@@ -48,7 +48,7 @@ let create_over ?(init = 0.) ispace flds =
           ids;
         Dense { base = lo; table }
       end
-      else Search { arr = Sorted_iset.to_array ids }
+      else Search
   in
   let data = Hashtbl.create (List.length flds) in
   List.iter
@@ -70,15 +70,7 @@ let index_of_opt t id =
   | Dense { base; table } ->
       let k = id - base in
       if k >= 0 && k < Array.length table then table.(k) else -1
-  | Search { arr } ->
-      let lo = ref 0 and hi = ref (Array.length arr - 1) and res = ref (-1) in
-      while !res < 0 && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        if arr.(mid) = id then res := mid
-        else if arr.(mid) < id then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !res
+  | Search -> Sorted_iset.index_of_opt t.ids id
 
 let mem t id = index_of_opt t id >= 0
 

@@ -40,8 +40,8 @@ val index_of_opt : t -> int -> int
 val column : t -> Field.t -> float array
 (** The raw storage of one field, parallel to the sorted id array (element
     with storage index [k] lives at position [k]). Exposed for the bulk
-    data plane ({!Accessor} closures, copy plans); mutate only through an
-    index obtained from {!index_of}. Raises [Invalid_argument] when [f] is
+    data plane ({!Accessor} run windows, copy plans); mutate only through
+    an index obtained from {!index_of}. Raises [Invalid_argument] when [f] is
     not a field of the instance. *)
 
 val get : t -> Field.t -> int -> float

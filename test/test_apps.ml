@@ -223,6 +223,72 @@ let test_apps_config_invariance () =
         ])
     apps
 
+(* ---------- run-window kernels ---------- *)
+
+(* Exec-style arguments of [task] for color [c] of a stencil program:
+   one instance per argument, each a full view of its subregion. *)
+let stencil_args prog (task : Task.t) c pnames =
+  let fields = (Program.find_region prog "grid").Region.fields in
+  Array.of_list
+    (List.mapi
+       (fun k pname ->
+         let space =
+           (Partition.sub (Program.find_partition prog pname) c).Region.ispace
+         in
+         let inst = Physical.create_over space fields in
+         Index_space.iter_ids
+           (fun id ->
+             List.iter
+               (fun f -> Physical.set inst f id (Float.of_int id))
+               fields)
+           space;
+         Accessor.make inst ~space (Task.param_privs task k))
+       pnames)
+
+let test_stencil_radius_beyond_halo () =
+  (* A radius-2 kernel handed radius-1 halos must not read past them:
+     the window path falls back to per-point lookups, which raise. *)
+  let cfg r =
+    { (Apps.Stencil.test_config ~nodes:1) with Apps.Stencil.radius = r }
+  in
+  let p1 = Apps.Stencil.program (cfg 1) and p2 = Apps.Stencil.program (cfg 2) in
+  let kernel2 = (Program.find_task p2 "stencil").Task.kernel in
+  let task = Program.find_task p1 "stencil" in
+  let args prog = stencil_args prog task 0 [ "tiles"; "tiles"; "halos" ] in
+  ignore (kernel2 (args p2) [||]);
+  ignore (task.Task.kernel (args p1) [||]);
+  check Alcotest.bool "radius-2 kernel over radius-1 halo raises" true
+    (match kernel2 (args p1) [||] with
+    | _ -> false
+    | exception Accessor.Privilege_violation _ -> true)
+
+let test_stencil_kernels_allocation_free () =
+  (* 64x64 tiles (4 per node at 128^2 points/node). The first call warms
+     up; the second must allocate less than one minor word per point —
+     only per-call set-up, nothing per point or per neighbour read. *)
+  let cfg =
+    { (Apps.Stencil.test_config ~nodes:1) with
+      Apps.Stencil.points_per_node = 128 * 128; tiles_per_node = 4 }
+  in
+  let prog = Apps.Stencil.program cfg in
+  let c = 3 in
+  let stencil = Program.find_task prog "stencil"
+  and increment = Program.find_task prog "increment" in
+  let sargs = stencil_args prog stencil c [ "tiles"; "tiles"; "halos" ]
+  and iargs = stencil_args prog increment c [ "tiles" ] in
+  let points = Accessor.cardinal sargs.(0) in
+  check Alcotest.int "64^2 tile" (64 * 64) points;
+  List.iter
+    (fun (name, (task : Task.t), args) ->
+      ignore (task.Task.kernel args [||]);
+      let w0 = Gc.minor_words () in
+      ignore (task.Task.kernel args [||]);
+      let per = (Gc.minor_words () -. w0) /. Float.of_int points in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.3f minor words per point < 1" name per)
+        true (per < 1.))
+    [ ("stencil", stencil, sargs); ("increment", increment, iargs) ]
+
 let () =
   Alcotest.run "applications"
     [
@@ -232,6 +298,10 @@ let () =
           Alcotest.test_case "CR equivalence" `Quick test_stencil_cr_equivalent;
           Alcotest.test_case "halo remote-only" `Quick
             test_stencil_halo_is_remote_only;
+          Alcotest.test_case "radius beyond halo raises" `Quick
+            test_stencil_radius_beyond_halo;
+          Alcotest.test_case "kernels allocation-free" `Quick
+            test_stencil_kernels_allocation_free;
         ] );
       ( "circuit",
         [

@@ -2,7 +2,7 @@
    (bitwise, on random sparse/aliased/non-covering index sets and through
    whole random programs under all three schedulers), O(1) instance
    addressing (including the no-per-access-allocation regression for the
-   binary-search mode), the bulk accessor closures' privilege and view
+   binary-search mode), the run-window accessors' privilege and view
    containment checks, and the partition-pair intersection cache. *)
 
 open Geometry
@@ -213,7 +213,7 @@ let test_addressing_modes () =
       done)
     cases
 
-(* ---------- bulk accessor closures ---------- *)
+(* ---------- run windows ---------- *)
 
 let raises_violation f =
   match f () with
@@ -227,30 +227,37 @@ let test_bulk_privileges () =
     Accessor.make inst ~space
       [ Privilege.reads fv; Privilege.reduces Privilege.Sum fw ]
   in
-  check Alcotest.bool "writer under read-only refused" true
-    (raises_violation (fun () -> Accessor.writer acc fv));
-  check Alcotest.bool "reader under reduce-only refused" true
-    (raises_violation (fun () -> Accessor.reader acc fw));
-  check Alcotest.bool "reducer of undeclared field refused" true
-    (raises_violation (fun () -> Accessor.reducer acc fv));
-  check Alcotest.bool "mismatched reducer_op refused" true
-    (raises_violation (fun () -> Accessor.reducer_op acc ~op:Privilege.Max fw));
-  let red = Accessor.reducer acc fw in
-  red 3 2.5;
-  red 3 1.5;
-  check (Alcotest.float 0.) "reducer folds" 4. (Physical.get inst fw 3);
+  check Alcotest.bool "write column under read-only refused" true
+    (raises_violation (fun () -> Accessor.write_column acc fv));
+  check Alcotest.bool "read column under reduce-only refused" true
+    (raises_violation (fun () -> Accessor.read_column acc fw));
+  check Alcotest.bool "reduce column of read-only field refused" true
+    (raises_violation (fun () ->
+         Accessor.reduce_column acc ~op:Privilege.Sum fv));
+  check Alcotest.bool "mismatched reduce operator refused" true
+    (raises_violation (fun () ->
+         Accessor.reduce_column acc ~op:Privilege.Max fw));
+  let undeclared = Accessor.make inst ~space [ Privilege.reads fv ] in
+  check Alcotest.bool "column of undeclared field refused" true
+    (raises_violation (fun () -> Accessor.read_column undeclared fw));
+  let red = Accessor.reduce_column acc ~op:Privilege.Sum fw in
+  let k = Accessor.run_base acc 3 3 in
+  red.(k) <- red.(k) +. 2.5;
+  red.(k) <- red.(k) +. 1.5;
+  check (Alcotest.float 0.) "reduce column folds" 4. (Physical.get inst fw 3);
   let rw = Accessor.make inst ~space [ Privilege.writes fv ] in
-  check Alcotest.bool "anonymous reducer under reads-writes refused" true
-    (raises_violation (fun () -> Accessor.reducer rw fv));
-  let red_op = Accessor.reducer_op rw ~op:Privilege.Sum fv in
-  red_op 1 2.;
-  red_op 1 3.;
-  check (Alcotest.float 0.) "reducer_op under reads-writes folds" 5.
+  check Alcotest.bool "per-element reduce under reads-writes refused" true
+    (raises_violation (fun () -> Accessor.reduce rw fv 1 1.));
+  let col = Accessor.reduce_column rw ~op:Privilege.Sum fv in
+  let k = Accessor.index rw 1 in
+  col.(k) <- col.(k) +. 2.;
+  col.(k) <- col.(k) +. 3.;
+  check (Alcotest.float 0.) "reduce column under reads-writes folds" 5.
     (Physical.get inst fv 1)
 
 let test_bulk_view_containment () =
-  (* A strict subview over a bigger instance: the bulk closures must refuse
-     ids stored in the instance but outside the view. *)
+  (* A strict subview over a bigger instance: run windows must refuse ids
+     stored in the instance but outside the view. *)
   let whole = Index_space.of_range 20 in
   let sub =
     Index_space.of_iset ~universe_size:20
@@ -260,16 +267,26 @@ let test_bulk_view_containment () =
   Physical.set inst fv 3 7.5;
   Physical.set inst fv 9 1.0;
   let acc = Accessor.make inst ~space:sub [ Privilege.writes fv ] in
-  let r = Accessor.reader acc fv and w = Accessor.writer acc fv in
-  check (Alcotest.float 0.) "read inside view" 7.5 (r 3);
-  check Alcotest.bool "read outside view refused" true
-    (raises_violation (fun () -> r 9));
-  check Alcotest.bool "write outside view refused" true
-    (raises_violation (fun () -> w 9 0.));
-  check Alcotest.bool "read outside instance refused" true
-    (raises_violation (fun () -> r 25));
+  let col = Accessor.read_column acc fv in
+  check (Alcotest.float 0.) "read inside view" 7.5
+    col.(Accessor.run_base acc 2 4 + 1);
+  check Alcotest.bool "run outside view refused" true
+    (raises_violation (fun () -> Accessor.run_base acc 9 9));
+  check Alcotest.bool "run across a gap in the view refused" true
+    (raises_violation (fun () -> Accessor.run_base acc 4 11));
+  check Alcotest.bool "run outside instance refused" true
+    (raises_violation (fun () -> Accessor.run_base acc 25 26));
+  check Alcotest.int "index outside view" (-1) (Accessor.index acc 9);
+  check Alcotest.int "index inside view" 11 (Accessor.index acc 11);
   check Alcotest.bool "mem tracks the view, not the instance" true
     (Accessor.mem acc 11 && not (Accessor.mem acc 9));
+  (* A full view over a sparse instance: a run over an id gap is refused
+     even though both ends are stored. *)
+  let full = Accessor.make (Physical.create_over sub [ fv ]) ~space:sub
+      [ Privilege.reads fv ] in
+  check Alcotest.int "full-view run" 0 (Accessor.run_base full 2 4);
+  check Alcotest.int "full-view run past a gap" (-1)
+    (Accessor.run_base_opt full 4 11);
   (* iter_runs covers exactly the view. *)
   let seen = ref [] in
   Accessor.iter_runs acc (fun lo hi ->
@@ -278,6 +295,90 @@ let test_bulk_view_containment () =
       done);
   check (Alcotest.list Alcotest.int) "iter_runs = view" [ 2; 3; 4; 11; 12 ]
     (List.rev !seen)
+
+(* Instance spaces whose addressing mode is fixed by construction —
+   one dense range (Contiguous), a random subset of a short span (Dense),
+   short clusters far apart (Search: the span exceeds the dense-table
+   budget), or a union of small rectangles in a 4x100 grid (any mode) —
+   and a view that is either the whole instance or a random strict
+   subset of it. *)
+let window_case kind full st =
+  let int n = Random.State.int st n in
+  let iset u l = Index_space.of_iset ~universe_size:u (Sorted_iset.of_list l) in
+  let space =
+    match kind with
+    | 0 ->
+        let lo = int 20 in
+        iset 100 (List.init (1 + int 40) (fun i -> lo + i))
+    | 1 -> iset 100 (List.filter (fun _ -> int 10 < 6) (List.init 100 Fun.id))
+    | 2 ->
+        iset 600
+          (List.concat
+             (List.init 4 (fun c ->
+                  let base = (c * 150) + int 100 in
+                  List.init (1 + int 5) (fun i -> base + i))))
+    | _ ->
+        let rect () =
+          let x = int 4 and y = int 94 in
+          Rect.make2 ~lo:(x, y) ~hi:(x + int (4 - x), y + int 6)
+        in
+        Index_space.of_rects
+          ~universe:(Rect.make2 ~lo:(0, 0) ~hi:(3, 99))
+          (List.init (1 + int 3) (fun _ -> rect ()))
+  in
+  let view =
+    if full then space
+    else if Index_space.is_structured space then
+      Index_space.inter space
+        (Index_space.of_rects ~universe:(Rect.make2 ~lo:(0, 0) ~hi:(3, 99))
+           [ Rect.make2 ~lo:(int 2, int 50) ~hi:(3, 50 + int 50) ])
+    else
+      Index_space.of_iset
+        ~universe_size:(match Index_space.universe space with
+          | Index_space.Unstructured n -> n
+          | Index_space.Structured _ -> assert false)
+        (Sorted_iset.of_list
+           (List.filter
+              (fun _ -> int 10 < 7)
+              (Array.to_list (Sorted_iset.to_array (Index_space.ids space)))))
+  in
+  (space, view)
+
+let prop_run_base_matches_elements =
+  qtest "run_base_opt = per-element mem + index_of_opt" ~count:200
+    QCheck2.Gen.(triple (int_range 0 3) bool (int_range 0 1_000_000))
+    (fun (kind, full, seed) ->
+      let space, view =
+        window_case kind full (Random.State.make [| 0x3A1; seed |])
+      in
+      let inst = Physical.create_over space [ fv ] in
+      let acc = Accessor.make inst ~space:view [ Privilege.reads fv ] in
+      let universe =
+        match Index_space.universe space with
+        | Index_space.Unstructured n -> n
+        | Index_space.Structured u -> Rect.volume u
+      in
+      (* Every run of up to 12 ids from just below to just past the
+         universe: runs inside the view, across rectangle boundaries and
+         id gaps, and off either end. *)
+      let ok = ref true in
+      for lo = -2 to universe + 1 do
+        for hi = lo to lo + 11 do
+          let inside = ref true in
+          for id = lo to hi do
+            if not (Index_space.mem view id) then inside := false
+          done;
+          let want = if !inside then Physical.index_of_opt inst lo else -1 in
+          if Accessor.run_base_opt acc lo hi <> want
+             || Index_space.mem_run view lo hi <> !inside
+          then ok := false
+        done;
+        let want_idx =
+          if Index_space.mem view lo then Physical.index_of_opt inst lo else -1
+        in
+        if Accessor.index acc lo <> want_idx then ok := false
+      done;
+      !ok)
 
 (* ---------- equal_on ---------- *)
 
@@ -416,6 +517,7 @@ let () =
           Alcotest.test_case "privilege checks" `Quick test_bulk_privileges;
           Alcotest.test_case "view containment" `Quick
             test_bulk_view_containment;
+          prop_run_base_matches_elements;
         ] );
       ("equal_on", [ Alcotest.test_case "short-circuit" `Quick test_equal_on ]);
       ( "intersection cache",

@@ -506,6 +506,42 @@ let test_bench_data_plane_thresholds () =
   check Alcotest.bool "bulk kernel beats per-element accessors" true
     (num "kernel.speedup" (Obs.Json.member "speedup" kernel) > 1.)
 
+(* EXPERIMENTS.md's data-plane table quotes the committed artifact: every
+   microbenchmark speedup it records must appear there as printed. *)
+let test_experiments_quote_artifact () =
+  let ic = open_in "../EXPERIMENTS.md" in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let contains sub =
+    let n = String.length sub in
+    let rec from i =
+      i + n <= String.length doc && (String.sub doc i n = sub || from (i + 1))
+    in
+    from 0
+  in
+  let dp = Option.get (Obs.Json.member "data_plane" (read_bench_json ())) in
+  let num v = Option.get (Option.bind v Obs.Json.number) in
+  let copies =
+    Option.get (Option.bind (Obs.Json.member "copy" dp) Obs.Json.to_list)
+  in
+  let kernel = Option.get (Obs.Json.member "kernel" dp) in
+  let speedups =
+    List.concat_map
+      (fun case ->
+        [
+          num (Obs.Json.member "copy_speedup" case);
+          num (Obs.Json.member "reduce_speedup" case);
+        ])
+      copies
+    @ [ num (Obs.Json.member "speedup" kernel) ]
+  in
+  List.iter
+    (fun x ->
+      let cell = Printf.sprintf "**%.1f\xc3\x97**" x in
+      check Alcotest.bool (cell ^ " quoted in EXPERIMENTS.md") true
+        (contains cell))
+    speedups
+
 let () =
   Alcotest.run "obs"
     [
@@ -550,5 +586,7 @@ let () =
           Alcotest.test_case "schema" `Quick test_bench_artifact_schema;
           Alcotest.test_case "data plane thresholds" `Quick
             test_bench_data_plane_thresholds;
+          Alcotest.test_case "EXPERIMENTS.md quotes it" `Quick
+            test_experiments_quote_artifact;
         ] );
     ]
